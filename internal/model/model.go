@@ -218,6 +218,27 @@ func (s ValueSet) Min() (v Value, ok bool) {
 // Len returns the cardinality of the set.
 func (s ValueSet) Len() int { return len(s.vs) }
 
+// At returns the i-th smallest element (0 <= i < Len) without copying the
+// set — the iteration a codec uses to serialize it in place.
+func (s ValueSet) At(i int) Value { return s.vs[i] }
+
+// AdoptValues returns the set of vals. When vals is strictly increasing
+// (already the set's canonical form) the set takes ownership of the slice
+// without copying it, and the caller must not modify vals afterwards;
+// otherwise the values are sorted and deduplicated into a fresh set, as by
+// NewValueSet.
+func AdoptValues(vals []Value) ValueSet {
+	for i := 1; i < len(vals); i++ {
+		if vals[i-1] >= vals[i] {
+			return NewValueSet(vals...)
+		}
+	}
+	if len(vals) == 0 {
+		return ValueSet{}
+	}
+	return ValueSet{vs: vals}
+}
+
 // Values returns the elements in increasing order. The slice is a copy.
 func (s ValueSet) Values() []Value {
 	out := make([]Value, len(s.vs))

@@ -240,14 +240,23 @@ type LinkTotals struct {
 	QueueHighWater              int64
 }
 
+// dropReasons indexes the per-link drop counters of the known reasons.
+var dropReasons = [...]string{DropLoss, DropOverflow, DropGiveUp}
+
 // linkCounters pairs one link's registry instruments with its private
 // totals.
 type linkCounters struct {
+	name string // Link.String(), rendered once
+
 	msgsSent, bytesSent, msgsRecv, bytesRecv     atomic.Int64
 	dropped, reconnects, retries, queueHW        atomic.Int64
 	cMsgsSent, cBytesSent, cMsgsRecv, cBytesRecv *obs.Counter
 	cReconnects, cRetries                        *obs.Counter
 	gQueueHW                                     *obs.Gauge
+	// cDrops holds the {reason=...} drop counter of each dropReasons entry,
+	// registered on the link's first drop for that reason so a link that
+	// never drops adds no series to the exposition.
+	cDrops [len(dropReasons)]atomic.Pointer[obs.Counter]
 }
 
 // LinkTap is one transport flavour's telemetry: per-link counters plus the
@@ -314,10 +323,12 @@ func (lt *LinkTap) link(l Link) *linkCounters {
 	if lc = lt.links[l]; lc != nil {
 		return lc
 	}
-	label := func(name string) string {
-		return obs.Label(obs.Label(name, "transport", lt.flavour), "link", l.String())
+	name := l.String()
+	label := func(metric string) string {
+		return obs.Label(obs.Label(metric, "transport", lt.flavour), "link", name)
 	}
 	lc = &linkCounters{
+		name:        name,
 		cMsgsSent:   lt.reg.Counter(label(MetricLinkMessagesSent)),
 		cBytesSent:  lt.reg.Counter(label(MetricLinkBytesSent)),
 		cMsgsRecv:   lt.reg.Counter(label(MetricLinkMessagesReceived)),
@@ -344,8 +355,10 @@ func (lt *LinkTap) Sent(from, to model.ProcessID, bytes int) {
 	lt.tSentB.Add(int64(bytes))
 	lt.aSent.Inc()
 	lt.aSentB.Add(int64(bytes))
-	lt.rec.Record(Record{Cat: CatNet, Kind: "send", Transport: lt.flavour,
-		Link: Link{from, to}.String(), Bytes: bytes})
+	if lt.rec != nil {
+		lt.rec.Record(Record{Cat: CatNet, Kind: "send", Transport: lt.flavour,
+			Link: lc.name, Bytes: bytes})
+	}
 }
 
 // Received records one message delivered to its destination inbox.
@@ -362,8 +375,10 @@ func (lt *LinkTap) Received(from, to model.ProcessID, bytes int) {
 	lt.tRecvB.Add(int64(bytes))
 	lt.aRecv.Inc()
 	lt.aRecvB.Add(int64(bytes))
-	lt.rec.Record(Record{Cat: CatNet, Kind: "recv", Transport: lt.flavour,
-		Link: Link{from, to}.String(), Bytes: bytes})
+	if lt.rec != nil {
+		lt.rec.Record(Record{Cat: CatNet, Kind: "recv", Transport: lt.flavour,
+			Link: lc.name, Bytes: bytes})
+	}
 }
 
 // Dropped records one message the transport itself lost, labelled with the
@@ -372,15 +387,40 @@ func (lt *LinkTap) Dropped(from, to model.ProcessID, reason string) {
 	if lt == nil {
 		return
 	}
-	l := Link{from, to}
-	lc := lt.link(l)
+	lc := lt.link(Link{from, to})
 	lc.dropped.Add(1)
-	lt.reg.Counter(obs.Label(obs.Label(obs.Label(MetricLinkMessagesDropped,
-		"transport", lt.flavour), "link", l.String()), "reason", reason)).Inc()
+	lt.dropCounter(lc, reason).Inc()
 	lt.tDropped.Add(1)
 	lt.aDropped.Inc()
-	lt.rec.Record(Record{Cat: CatNet, Kind: "drop", Transport: lt.flavour,
-		Link: l.String(), Note: reason})
+	if lt.rec != nil {
+		lt.rec.Record(Record{Cat: CatNet, Kind: "drop", Transport: lt.flavour,
+			Link: lc.name, Note: reason})
+	}
+}
+
+// dropCounter returns the link's {reason=...} drop counter. A known
+// reason's counter is resolved in the registry once per link; any other
+// reason is looked up on every call.
+func (lt *LinkTap) dropCounter(lc *linkCounters, reason string) *obs.Counter {
+	var slot *atomic.Pointer[obs.Counter]
+	for i, r := range dropReasons {
+		if r == reason {
+			slot = &lc.cDrops[i]
+			break
+		}
+	}
+	if slot != nil {
+		if c := slot.Load(); c != nil {
+			return c
+		}
+	}
+	// Racing first drops resolve the same registry counter.
+	c := lt.reg.Counter(obs.Label(obs.Label(obs.Label(MetricLinkMessagesDropped,
+		"transport", lt.flavour), "link", lc.name), "reason", reason))
+	if slot != nil {
+		slot.Store(c)
+	}
+	return c
 }
 
 // QueueDepth records the link's queue occupancy after an enqueue; only the
@@ -405,7 +445,7 @@ func (lt *LinkTap) Reconnect(from, to model.ProcessID) {
 	lt.tReconnects.Add(1)
 	lt.aReconnects.Inc()
 	lt.rec.Record(Record{Cat: CatNet, Kind: "reconnect", Transport: lt.flavour,
-		Link: Link{from, to}.String()})
+		Link: lc.name})
 }
 
 // Retry records one retransmission attempt on the link.
@@ -419,7 +459,7 @@ func (lt *LinkTap) Retry(from, to model.ProcessID) {
 	lt.tRetries.Add(1)
 	lt.aRetries.Inc()
 	lt.rec.Record(Record{Cat: CatNet, Kind: "retry", Transport: lt.flavour,
-		Link: Link{from, to}.String()})
+		Link: lc.name})
 }
 
 // Totals returns the transport's aggregate accounting.

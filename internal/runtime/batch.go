@@ -66,6 +66,10 @@ type linkPending struct {
 	first []byte
 	batch []byte
 	count int
+	// lastBatch is the size of the link's last flushed batch: the next
+	// batch buffer starts with that capacity instead of regrowing from
+	// empty.
+	lastBatch int
 }
 
 // detach hands the pending buffer to the caller and resets the link. The
@@ -78,6 +82,7 @@ func (p *linkPending) detach() []byte {
 		out, p.first = p.first, nil
 	} else {
 		out, p.batch = p.batch, nil
+		p.lastBatch = len(out)
 	}
 	p.count = 0
 	return out
@@ -139,6 +144,9 @@ func (b *Batcher) Send(to model.ProcessID, data []byte) error {
 	case 0:
 		p.first = append(p.first[:0], data...)
 	case 1:
+		if p.batch == nil {
+			p.batch = make([]byte, 0, p.lastBatch)
+		}
 		p.batch = wire.AppendToBatch(p.batch[:0], p.first)
 		p.batch = wire.AppendToBatch(p.batch, data)
 	default:
@@ -196,7 +204,10 @@ func (b *Batcher) flushAllLocked(reason *obs.Counter) error {
 		to   model.ProcessID
 		data []byte
 	}
-	var outs []out
+	// One entry per destination; a cluster of up to 16 builds its list on
+	// the stack.
+	var stack [16]out
+	outs := stack[:0]
 	for to := range b.pending {
 		p := &b.pending[to]
 		if p.count == 0 {

@@ -326,7 +326,8 @@ func (mb *mailbox) drain(spare []engEvent) []engEvent {
 
 // instRow buffers one round's inbound messages for one (instance, node)
 // automaton: presence bits (a null message is a present message with a nil
-// payload) plus the lazily allocated payload row, freed after Trans.
+// payload) plus the payload row, allocated with the instance's slab and
+// cleared after Trans so the payloads are released when the round closes.
 type instRow struct {
 	got  uint64
 	msgs []rounds.Message
@@ -358,8 +359,8 @@ type instState struct {
 // would invalidate pointers on every append).
 type instSlab struct {
 	inst      uint64
-	states    []instState // index id-1
-	remaining int         // automata not yet halted
+	states    []instState    // index id-1
+	remaining int            // automata not yet halted
 	probe     *InstanceProbe // nil for unobserved instances (the common case)
 }
 
@@ -378,6 +379,10 @@ type engWorker struct {
 	suspects     []model.ProcSet // cached per node, 1..n
 	nextDeadline time.Time
 	scratch      []rounds.Message
+	// encBuf is the worker's frame encode buffer, reused for every frame:
+	// Batcher.Send copies the frame, so the bytes are free again as soon
+	// as Send returns.
+	encBuf []byte
 }
 
 // engineRun is the shared state of one engine's lifetime.
@@ -672,6 +677,14 @@ func (e *Engine) OpenObserved(initial func(model.ProcessID) model.Value, probe *
 	if probe != nil {
 		probe.attach(n, er.maxRounds, time.Now())
 	}
+	// Every automaton's rounds 1..MaxRounds (row 0 unused) and their payload
+	// rows, carved out of two slab-wide allocations.
+	perState := er.maxRounds + 1
+	rows := make([]instRow, n*perState)
+	msgs := make([]rounds.Message, len(rows)*(n+1))
+	for k := range rows {
+		rows[k].msgs = msgs[k*(n+1) : (k+1)*(n+1) : (k+1)*(n+1)]
+	}
 	for i := 1; i <= n; i++ {
 		var v model.Value
 		if initial != nil {
@@ -682,7 +695,7 @@ func (e *Engine) OpenObserved(initial func(model.ProcessID) model.Value, probe *
 		st.slab = sl
 		st.id = model.ProcessID(i)
 		st.round = 1
-		st.rows = make([]instRow, er.maxRounds+1)
+		st.rows = rows[(i-1)*perState : i*perState : i*perState]
 	}
 	er.openedCtr.Inc()
 	er.workers[int(id%uint64(len(er.workers)))].mb.push(engEvent{slab: sl})
@@ -1065,9 +1078,6 @@ func (w *engWorker) deliver(ev *engEvent) {
 		return // automaton halted, round already closed, or out of range
 	}
 	row := &st.rows[r]
-	if row.msgs == nil {
-		row.msgs = make([]rounds.Message, w.run.n+1)
-	}
 	row.msgs[ev.env.From] = ev.env.Payload
 	row.got |= 1 << uint(ev.env.From)
 	if sl.probe != nil {
@@ -1129,15 +1139,10 @@ func (w *engWorker) advance(st *instState) {
 			pr.roundClosed(st.id, r, row.got, !complete, time.Now())
 		}
 		in := w.scratch
-		for j := range in {
-			in[j] = nil
-		}
-		if row.msgs != nil {
-			copy(in, row.msgs)
-		}
+		copy(in, row.msgs)
 		in[st.id] = st.selfMsg
 		st.proc.Trans(r, in)
-		row.msgs = nil // free the payload row; the round is closed
+		clear(row.msgs) // release the payloads; the round is closed
 		w.run.metrics.rounds.Inc()
 		var transAt time.Time
 		if pr != nil {
@@ -1219,11 +1224,10 @@ func (w *engWorker) sendRound(st *instState, r int) error {
 			return err
 		}
 		env.Instance = st.slab.inst
-		data, err := w.run.codec.Encode(env)
-		if err != nil {
+		if w.encBuf, err = w.run.codec.AppendEncode(w.encBuf[:0], env); err != nil {
 			return err
 		}
-		if err := w.run.batchers[st.id].Send(dest, data); err != nil {
+		if err := w.run.batchers[st.id].Send(dest, w.encBuf); err != nil {
 			return err
 		}
 	}

@@ -162,9 +162,9 @@ type ProbeNode struct {
 // ProbeSnapshot is a point-in-time copy of a probe, safe to read while the
 // instance is still advancing. Rounds that never sent are omitted.
 type ProbeSnapshot struct {
-	N        int        `json:"n"`
-	OpenedAt time.Time  `json:"opened_at"`
-	DoneAt   time.Time  `json:"done_at,omitempty"`
+	N        int         `json:"n"`
+	OpenedAt time.Time   `json:"opened_at"`
+	DoneAt   time.Time   `json:"done_at,omitempty"`
 	Nodes    []ProbeNode `json:"nodes"`
 }
 

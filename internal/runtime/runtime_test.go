@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -320,6 +321,78 @@ func TestNodeConfigValidation(t *testing.T) {
 		ID: 1, N: 2, T: 1, Transport: nw.Endpoint(1), Kind: rounds.RS,
 	}); err == nil {
 		t.Error("RS without RoundDuration accepted")
+	}
+}
+
+// TestChanNetworkDeliversInDueOrder: the delivery scheduler hands messages
+// over in order of due time, and messages due at the same time in the
+// order they were sent.
+func TestChanNetworkDeliversInDueOrder(t *testing.T) {
+	delays := map[string]time.Duration{
+		"late": 30 * time.Millisecond, "early": 5 * time.Millisecond,
+		"mid": 15 * time.Millisecond, "mid2": 15 * time.Millisecond, "mid3": 15 * time.Millisecond,
+	}
+	nw := NewChanNetwork(2, ChanConfig{
+		Delay:   func(_, _ model.ProcessID, data []byte) time.Duration { return delays[string(data)] },
+		Metrics: obs.NewRegistry(),
+	})
+	defer func() { _ = nw.Close() }()
+	for _, m := range []string{"late", "mid", "early", "mid2", "mid3"} {
+		if err := nw.Endpoint(1).Send(2, []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"early", "mid", "mid2", "mid3", "late"}
+	for i, w := range want {
+		select {
+		case pkt := <-nw.Endpoint(2).Recv():
+			if string(pkt.Data) != w {
+				t.Fatalf("delivery %d = %q, want %q", i, pkt.Data, w)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivery %d (%q) never arrived", i, w)
+		}
+	}
+}
+
+// TestChanNetworkSchedulerLifetime: building a network starts no goroutine
+// (one-shot clusters build one per run), the first Send starts the
+// network's one delivery goroutine — not one per message — and Close joins
+// it while messages are still in flight, abandoning them.
+func TestChanNetworkSchedulerLifetime(t *testing.T) {
+	nw := NewChanNetwork(3, ChanConfig{
+		Delay:   func(model.ProcessID, model.ProcessID, []byte) time.Duration { return time.Hour },
+		Metrics: obs.NewRegistry(),
+	})
+	started := func() bool {
+		nw.mu.Lock()
+		defer nw.mu.Unlock()
+		return nw.started
+	}
+	if started() {
+		t.Fatal("NewChanNetwork started the delivery goroutine")
+	}
+	before := stdruntime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		if err := nw.Endpoint(1).Send(model.ProcessID(2+i%2), []byte("held")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !started() {
+		t.Fatal("Send did not start the delivery goroutine")
+	}
+	if got := stdruntime.NumGoroutine(); got > before+1 {
+		t.Fatalf("goroutines with 100 messages in flight = %d, want at most %d", got, before+1)
+	}
+	done := make(chan struct{})
+	go func() { _ = nw.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not join the delivery goroutine")
+	}
+	if tot := nw.Telemetry().Totals(); tot.MsgsSent != 100 || tot.MsgsReceived != 0 || tot.Dropped != 0 {
+		t.Fatalf("totals = %+v, want 100 sent, none received or dropped", tot)
 	}
 }
 

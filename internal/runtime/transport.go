@@ -34,7 +34,9 @@ type Transport interface {
 	// LocalID returns the endpoint's process identity.
 	LocalID() model.ProcessID
 	// Send transmits data to the destination. It never blocks on the
-	// receiver; delivery is asynchronous.
+	// receiver; delivery is asynchronous. The transport may keep data
+	// until delivery, so the caller must not modify it after Send — only
+	// a copying wrapper (Batcher) lets its caller reuse the buffer.
 	Send(to model.ProcessID, data []byte) error
 	// Recv returns the endpoint's delivery channel. The channel is closed
 	// when the transport closes.
@@ -74,19 +76,89 @@ type ChanConfig struct {
 
 // ChanNetwork is a fully connected in-process network with per-message
 // delivery delays.
+//
+// Delivery is one scheduler per network: Send draws the message's delay
+// and files it in a min-heap ordered by (due time, send order); a single
+// delivery goroutine sleeps until the earliest due time and moves every
+// due message into its destination inbox. The goroutine starts on the
+// first Send — building a network starts none — and Close joins it,
+// abandoning whatever is still in flight.
 type ChanNetwork struct {
-	n   int
-	cfg ChanConfig
+	n     int
+	cfg   ChanConfig
+	epoch time.Time // due times are offsets from here
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	closed bool
+	mu      sync.Mutex
+	rng     *rand.Rand
+	closed  bool
+	started bool
+	queue   deliveryHeap
+	seq     uint64
 
 	inboxes []chan Packet
+	wake    chan struct{} // a new earliest due time, or the first message
 	done    chan struct{}
 	wg      sync.WaitGroup
 
 	tm *netobs.LinkTap
+}
+
+// delivery is one message in flight.
+type delivery struct {
+	due      time.Duration // since the network's epoch
+	seq      uint64        // send order: equal due times deliver FIFO
+	from, to model.ProcessID
+	data     []byte
+}
+
+// deliveryHeap is a binary min-heap of in-flight messages by (due, seq).
+type deliveryHeap []delivery
+
+func (h deliveryHeap) less(i, j int) bool {
+	if h[i].due != h[j].due {
+		return h[i].due < h[j].due
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *deliveryHeap) push(d delivery) {
+	*h = append(*h, d)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest delivery; the heap must be
+// non-empty.
+func (h *deliveryHeap) pop() delivery {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = delivery{} // release the payload
+	q = q[:last]
+	for i := 0; ; {
+		min, l, r := i, 2*i+1, 2*i+2
+		if l < len(q) && q.less(l, min) {
+			min = l
+		}
+		if r < len(q) && q.less(r, min) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		q[i], q[min] = q[min], q[i]
+		i = min
+	}
+	*h = q
+	return top
 }
 
 // NewChanNetwork builds an n-endpoint in-process network.
@@ -104,8 +176,10 @@ func NewChanNetwork(n int, cfg ChanConfig) *ChanNetwork {
 	nw := &ChanNetwork{
 		n:       n,
 		cfg:     cfg,
+		epoch:   time.Now(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		inboxes: make([]chan Packet, n+1),
+		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		tm:      netobs.NewLinkTap(reg, "chan", cfg.Flight),
 	}
@@ -127,7 +201,8 @@ func (nw *ChanNetwork) Endpoint(id model.ProcessID) Transport {
 // failure detection builds on.
 func (nw *ChanNetwork) MaxDelay() time.Duration { return nw.cfg.MaxDelay }
 
-// send queues a delayed delivery.
+// send schedules a delayed delivery. The network keeps data until the
+// message is delivered or abandoned.
 func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 	if !to.Valid(nw.n) {
 		return fmt.Errorf("runtime: send to invalid destination %v", to)
@@ -147,43 +222,97 @@ func (nw *ChanNetwork) send(from, to model.ProcessID, data []byte) error {
 			delay += time.Duration(nw.rng.Int63n(int64(span)))
 		}
 	}
-	nw.wg.Add(1)
-	nw.mu.Unlock()
+	// Counted under the lock, so the send is on the books before the
+	// scheduler can deliver it.
 	nw.tm.Sent(from, to, len(data))
-
 	if delay < 0 {
-		nw.wg.Done()
+		nw.mu.Unlock()
 		nw.tm.Dropped(from, to, netobs.DropLoss) // injected link loss: sent but never delivered
 		return nil
 	}
-	// One goroutine per in-flight message, owned by the network and joined
-	// in Close. Message counts in these experiments are small.
-	go func() {
-		defer nw.wg.Done()
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
+	if !nw.started {
+		nw.started = true
+		nw.wg.Add(1)
+		go nw.deliverLoop()
+	}
+	nw.queue.push(delivery{due: time.Since(nw.epoch) + delay, seq: nw.seq, from: from, to: to, data: data})
+	nw.seq++
+	earliest := nw.queue[0].seq == nw.seq-1
+	nw.mu.Unlock()
+	if earliest {
 		select {
-		case <-timer.C:
-		case <-nw.done:
-			return
-		}
-		pkt := Packet{From: from, Data: data}
-		select {
-		case nw.inboxes[to] <- pkt:
-			nw.tm.Received(from, to, len(data))
-			nw.tm.QueueDepth(from, to, len(nw.inboxes[to]))
-		case <-nw.done:
+		case nw.wake <- struct{}{}:
 		default:
-			// Inbox full: a stalled receiver must not wedge the delivery
-			// goroutine (and, transitively, Close) forever. The overflow is
-			// documented link loss, visible in the dropped counter.
-			nw.tm.Dropped(from, to, netobs.DropOverflow)
 		}
-	}()
+	}
 	return nil
 }
 
-// Close shuts the network down and joins all in-flight deliveries.
+// deliverLoop is the network's delivery goroutine: it moves due messages
+// into their inboxes and sleeps until the next due time, a new earliest
+// message, or Close.
+func (nw *ChanNetwork) deliverLoop() {
+	defer nw.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	var due []delivery // owned by this goroutine, reused across sweeps
+	for {
+		nw.mu.Lock()
+		now := time.Since(nw.epoch)
+		for len(nw.queue) > 0 && nw.queue[0].due <= now {
+			due = append(due, nw.queue.pop())
+		}
+		next := time.Duration(-1)
+		if len(nw.queue) > 0 {
+			next = nw.queue[0].due
+		}
+		nw.mu.Unlock()
+
+		for i := range due {
+			nw.deliver(due[i])
+			due[i] = delivery{}
+		}
+		due = due[:0]
+
+		var fire <-chan time.Time
+		if next >= 0 {
+			timer.Reset(next - time.Since(nw.epoch))
+			fire = timer.C
+		}
+		select {
+		case <-fire:
+		case <-nw.wake:
+		case <-nw.done:
+			timer.Stop()
+			return
+		}
+		if fire != nil && !timer.Stop() {
+			// Fired, or fired and already received: drain so the next
+			// Reset starts from an empty channel.
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+	}
+}
+
+// deliver hands one due message to its destination inbox.
+func (nw *ChanNetwork) deliver(d delivery) {
+	select {
+	case nw.inboxes[d.to] <- Packet{From: d.from, Data: d.data}:
+		nw.tm.Received(d.from, d.to, len(d.data))
+		nw.tm.QueueDepth(d.from, d.to, len(nw.inboxes[d.to]))
+	default:
+		// Inbox full: a stalled receiver must not wedge the scheduler (and,
+		// transitively, Close) forever. The overflow is documented link
+		// loss, visible in the dropped counter.
+		nw.tm.Dropped(d.from, d.to, netobs.DropOverflow)
+	}
+}
+
+// Close shuts the network down, joins the delivery goroutine and abandons
+// the messages still in flight.
 func (nw *ChanNetwork) Close() error {
 	nw.mu.Lock()
 	if nw.closed {
@@ -194,6 +323,9 @@ func (nw *ChanNetwork) Close() error {
 	close(nw.done)
 	nw.mu.Unlock()
 	nw.wg.Wait()
+	nw.mu.Lock()
+	nw.queue = nil
+	nw.mu.Unlock()
 	return nil
 }
 

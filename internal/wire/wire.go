@@ -168,9 +168,13 @@ func appendVarint(buf []byte, v int64) []byte {
 	return binary.AppendVarint(buf, v)
 }
 
-// Encode serializes an envelope.
-func Encode(e Envelope) ([]byte, error) {
-	buf := make([]byte, 0, 64)
+// Encode serializes an envelope into a fresh buffer.
+func Encode(e Envelope) ([]byte, error) { return AppendEncode(make([]byte, 0, 64), e) }
+
+// AppendEncode appends the serialized envelope to buf and returns the
+// extended slice (nil on error). Encoding into a reused buffer costs no
+// allocation once the buffer has grown to the frame size.
+func AppendEncode(buf []byte, e Envelope) ([]byte, error) {
 	buf = appendUvarint(buf, uint64(e.From))
 	buf = appendUvarint(buf, uint64(e.To))
 	buf = appendUvarint(buf, uint64(e.Round))
@@ -193,10 +197,9 @@ func Encode(e Envelope) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("wire: kind W with payload %T", e.Payload)
 		}
-		vs := m.W.Values()
-		buf = appendUvarint(buf, uint64(len(vs)))
-		for _, v := range vs {
-			buf = appendVarint(buf, int64(v))
+		buf = appendUvarint(buf, uint64(m.W.Len()))
+		for i := 0; i < m.W.Len(); i++ {
+			buf = appendVarint(buf, int64(m.W.At(i)))
 		}
 	case KindD:
 		m, ok := e.Payload.(consensus.DMsg)
@@ -262,6 +265,20 @@ func (r *reader) varint() (int64, error) {
 	return v, nil
 }
 
+// count reads an element count and rejects one that cannot fit in the
+// remaining bytes (every element takes at least minBytes), so a corrupt
+// count never sizes an allocation.
+func (r *reader) count(minBytes int) (uint64, error) {
+	c, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if c > uint64((len(r.buf)-r.pos)/minBytes) {
+		return 0, ErrTruncated
+	}
+	return c, nil
+}
+
 func (r *reader) byte() (byte, error) {
 	if r.pos >= len(r.buf) {
 		return 0, ErrTruncated
@@ -296,7 +313,7 @@ func Decode(data []byte) (Envelope, error) {
 	case KindNull, KindHeartbeat, KindFDPing, KindFDAck:
 		// no payload
 	case KindFDRing:
-		count, err := r.uvarint()
+		count, err := r.count(2)
 		if err != nil {
 			return e, err
 		}
@@ -314,19 +331,22 @@ func Decode(data []byte) (Envelope, error) {
 		}
 		e.Payload = RingInfo{Origins: origins}
 	case KindW:
-		count, err := r.uvarint()
+		count, err := r.count(1)
 		if err != nil {
 			return e, err
 		}
-		vals := make([]model.Value, 0, count)
-		for i := uint64(0); i < count; i++ {
+		vals := make([]model.Value, count)
+		for i := range vals {
 			v, err := r.varint()
 			if err != nil {
 				return e, err
 			}
-			vals = append(vals, model.Value(v))
+			vals[i] = model.Value(v)
 		}
-		e.Payload = consensus.WMsg{W: model.NewValueSet(vals...)}
+		// An encoder writes the set in increasing order, so the decoded
+		// slice normally becomes the set as is; any other order is
+		// normalized.
+		e.Payload = consensus.WMsg{W: model.AdoptValues(vals)}
 	case KindD:
 		v, err := r.varint()
 		if err != nil {
@@ -346,7 +366,7 @@ func Decode(data []byte) (Envelope, error) {
 		}
 		e.Payload = consensus.A1Fwd{V: model.Value(v)}
 	case KindVotes:
-		count, err := r.uvarint()
+		count, err := r.count(1)
 		if err != nil {
 			return e, err
 		}
@@ -391,13 +411,19 @@ type Codec struct {
 	Tap Tap
 }
 
-// Encode serializes an envelope, reporting its kind and size to the tap.
-func (c Codec) Encode(e Envelope) ([]byte, error) {
-	data, err := Encode(e)
+// Encode serializes an envelope into a fresh buffer, reporting its kind
+// and size to the tap.
+func (c Codec) Encode(e Envelope) ([]byte, error) { return c.AppendEncode(make([]byte, 0, 64), e) }
+
+// AppendEncode appends the serialized envelope to buf (see the package
+// function), reporting its kind and size to the tap.
+func (c Codec) AppendEncode(buf []byte, e Envelope) ([]byte, error) {
+	start := len(buf)
+	out, err := AppendEncode(buf, e)
 	if err == nil && c.Tap != nil {
-		c.Tap.OnEncode(e.Kind, len(data))
+		c.Tap.OnEncode(e.Kind, len(out)-start)
 	}
-	return data, err
+	return out, err
 }
 
 // Decode parses an envelope, reporting its kind and size to the tap.
